@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-json bench-serve profile staticcheck fuzz-smoke crashtest replicatest cover ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-json bench-serve profile staticcheck fuzz-smoke crashtest replicatest cover perfbench-test ci
 
 all: build
 
@@ -89,18 +89,19 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Local mirror of the CI benchstat gate: compare the
-# E8/E10/E15/E16/E17/E18 series on BASE (default HEAD~1) against the
+# E8/E10/E14/E15/E16/E17/E18 series on BASE (default HEAD~1) against the
 # working tree, failing on >15% regressions of the per-series minimum
-# (the noise-robust estimator; see scripts/benchdiff).  E16 puts
-# point-query latency under the same gate as whole-fixpoint evaluation;
-# E17/K=1 guards the unpartitioned path against exchange-machinery
-# overhead.  Series missing on BASE (e.g. a newly added benchmark) are
+# (the noise-robust estimator; see scripts/benchdiff).  E14 puts the
+# incremental update path (counting, DRed, replay) under the gate; E16
+# point-query latency; E17/K=1 guards the unpartitioned path against
+# exchange-machinery overhead.  Keep BENCH_SERIES in sync with the
+# benchstat job in .github/workflows/ci.yml.  Series missing on BASE (e.g. a newly added benchmark) are
 # skipped by benchdiff.  Both sides are prebuilt and the iterations
 # interleaved A/B/A/B: running all of base then all of head lets slow
 # machine drift (thermal throttling, noisy neighbors) land entirely on
 # whichever side runs second and masquerade as a code regression.
 BASE ?= HEAD~1
-BENCH_SERIES := E8Inflationary|E10Distance|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath
+BENCH_SERIES := E8Inflationary|E10Distance|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath
 bench-compare:
 	rm -rf /tmp/bench-base && git worktree prune
 	git worktree add /tmp/bench-base $(BASE)
@@ -146,7 +147,13 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 	$(GO) run ./scripts/covergate -profile cover.out -min $(COVER_MIN)
 
+# The repository benchmark (perfbench/, see BENCHMARK.json) is a nested
+# module, so the root `go test ./...` never reaches it: vet and test it
+# on its own.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
 # (downloads the pinned tool) and the benchstat gate (bench-compare)
 # are the two network-using CI jobs; run them explicitly when online.
-ci: vet fmt-check build test race bench-smoke cover fuzz-smoke
+ci: vet fmt-check build test race perfbench-test bench-smoke cover fuzz-smoke

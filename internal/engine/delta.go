@@ -101,6 +101,42 @@ func (in *Instance) ApplyWithin(pos, neg State, filter map[string]*relation.Rela
 	return in.runTasks(tasks, pos, neg, runOpts{shard: true})
 }
 
+// BeforeReads reports which predicates a delta pass driven by the
+// predicates in drivers reads strictly before its driver position:
+// pos[p] when some variant reads a positive literal over p there (it
+// consults Delta.Before), neg[p] when it checks a negated one there
+// (Delta.BeforeNeg).  Positions rank exactly as in deltaTasks, and
+// every literal over a driver predicate counts as a driver position.
+// Callers that build Before/BeforeNeg relations only for these
+// predicates build nothing the pass never reads.
+func (in *Instance) BeforeReads(drivers map[string]bool) (pos, neg map[string]bool) {
+	pos, neg = make(map[string]bool), make(map[string]bool)
+	for _, rp := range in.plans {
+		last := -1 // rank of the rule's last driver position
+		for i, lp := range rp.positives {
+			if drivers[lp.pred] {
+				last = i
+			}
+		}
+		for j, np := range rp.negatives {
+			if drivers[np.pred] {
+				last = len(rp.positives) + j
+			}
+		}
+		for i, lp := range rp.positives {
+			if i < last {
+				pos[lp.pred] = true
+			}
+		}
+		for j, np := range rp.negatives {
+			if len(rp.positives)+j < last {
+				neg[np.pred] = true
+			}
+		}
+	}
+	return pos, neg
+}
+
 // flipNeg returns a variant of rp where the j-th negated literal is
 // evaluated as a positive join (its relation supplied by an override on
 // the returned literal index) and dropped from the negation checks.

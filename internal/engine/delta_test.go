@@ -140,3 +140,45 @@ func TestApplyDeltasCountExact(t *testing.T) {
 		t.Fatalf("total driven derivations = %d, want 1", total)
 	}
 }
+
+// TestBeforeReads checks which Before/BeforeNeg relations a delta pass
+// reads.  Positions rank positives first, then negations, in body
+// order.  In oneway(X,Y) :- E(X,Y), !s(Y,X) only the variant driven by
+// !s reads a literal before its driver: the positive E.  In
+// p(X) :- r(X), !q(X), !u(X) the !u-driven variant also checks !q
+// before it.
+func TestBeforeReads(t *testing.T) {
+	prog := parser.MustProgram("oneway(X,Y) :- E(X,Y), !s(Y,X).\np(X) :- r(X), !q(X), !u(X).")
+	in := engine.MustNew(prog, relation.NewDatabase())
+	cases := []struct {
+		drivers  []string
+		pos, neg []string
+	}{
+		{[]string{"E", "s"}, []string{"E"}, nil},
+		{[]string{"E"}, nil, nil},
+		{[]string{"r"}, nil, nil},
+		{[]string{"q"}, []string{"r"}, nil},
+		{[]string{"u"}, []string{"r"}, []string{"q"}},
+	}
+	same := func(got map[string]bool, want []string) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for _, p := range want {
+			if !got[p] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range cases {
+		drivers := make(map[string]bool)
+		for _, p := range c.drivers {
+			drivers[p] = true
+		}
+		pos, neg := in.BeforeReads(drivers)
+		if !same(pos, c.pos) || !same(neg, c.neg) {
+			t.Errorf("drivers %v: Before read for %v, BeforeNeg for %v; want %v, %v", c.drivers, pos, neg, c.pos, c.neg)
+		}
+	}
+}

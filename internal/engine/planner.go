@@ -4,8 +4,9 @@
 // planner sees the actual relations each positive literal will read —
 // including the small delta relations substituted by the semi-naive
 // variants — so join orders are re-costed every fixpoint round.  Each
-// chosen join is compiled into an access path (the widest composite
-// index covering its bound argument positions, or a scan) plus a flat
+// chosen join is compiled into an access path (a primary-key probe
+// when every argument position is bound, else the widest composite
+// index covering the bound positions, or a scan) plus a flat
 // array of bind/check micro-ops executed per candidate tuple; the
 // micro-ops replace the generic per-tuple matching closure, so the
 // probe loop allocates nothing.
@@ -83,6 +84,7 @@ type joinOp struct {
 type joinExec struct {
 	lit       int      // index into rulePlan.positives
 	probeCols []int    // bound columns probed via an index; empty = scan
+	fullKey   bool     // probeCols is every column: probe the primary key
 	probeSrc  []slot   // value sources for probeCols
 	probeVals []int    // scratch buffer filled per execution
 	ops       []joinOp // per-tuple micro-ops, in column order
@@ -143,6 +145,7 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool, wi
 	}
 	if len(je.probeCols) > 0 {
 		je.probeVals = make([]int, len(je.probeCols))
+		je.fullKey = wide && len(je.probeCols) == len(lp.slots)
 	}
 	return je
 }
@@ -393,7 +396,10 @@ func (in *Instance) Explain(w io.Writer, s State) {
 				je := st.join
 				lp := rp.positives[st.idx]
 				path := "scan"
-				if len(je.probeCols) > 0 {
+				switch {
+				case je.fullKey:
+					path = "key"
+				case len(je.probeCols) > 0:
 					path = fmt.Sprintf("index%v", je.probeCols)
 				}
 				fmt.Fprintf(w, "  join  %-24s %-10s |rel|=%-8d est=%.3g\n",

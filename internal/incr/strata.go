@@ -17,6 +17,14 @@
 // derivation might have supported (evaluated in the old world, via
 // pre-update snapshots), rederive what the reduced new world still
 // supports, then propagate insertions semi-naively.
+//
+// An update's cost follows the change, not the relation: each stratum
+// reports its net changes from the sets it touched — DRed's net
+// deletions are the overdeleted tuples not back in the new state, its
+// net insertions the inserted tuples absent from the pre-update view —
+// never by diffing whole relations, and counting builds the
+// both-worlds (stable) and either-world (ever) copies of a changed
+// input only where a delta variant reads them.
 package incr
 
 import (
@@ -145,11 +153,24 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 	in := s.in
 	dis := make(map[string]engine.Delta)
 	ena := make(map[string]engine.Delta)
+	drivers := make(map[string]bool, len(ch))
+	for pred := range ch {
+		drivers[pred] = s.bodyPreds[pred]
+	}
+	// stable/ever copy the whole pre-update relation; build them only
+	// where some variant reads them (before its driver).
+	readPos, readNeg := in.BeforeReads(drivers)
 	for pred, c := range ch {
 		if !s.bodyPreds[pred] {
 			continue
 		}
-		stable, ever := c.stable(), c.ever()
+		var stable, ever *relation.Relation
+		if readPos[pred] {
+			stable = c.stable()
+		}
+		if readNeg[pred] {
+			ever = c.ever()
+		}
 		d := engine.Delta{Before: stable, BeforeNeg: ever, After: c.pre, AfterNeg: c.pre}
 		e := engine.Delta{Before: stable, BeforeNeg: ever}
 		if !c.del.Empty() {
@@ -320,6 +341,12 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 		}
 	}
 
+	// Net deletions: overdeleted tuples neither rederived (cand lost
+	// those) nor reinserted below.  Net insertions: inserted tuples
+	// that were not there before.  Both come from the touched sets;
+	// nothing here is proportional to the whole relation.
+	adds, dels = in.NewState(), in.NewState()
+
 	// 3. Insert: derivations the update enables, propagated semi-naively
 	// through the stratum in the new world, filtered against the already
 	// materialized own-predicate state at emit time.  Under partitioned
@@ -330,8 +357,14 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 		frontier := partition.ApplyDeltasFrontier(in, m.state, m.state, seed, ownState(m.state, s.preds))
 		for !frontier.Empty() {
 			for pred := range s.preds {
-				rel := m.state[pred]
-				frontier[pred].Each(func(t relation.Tuple) bool { rel.Add(t); return true })
+				rel, old, add := m.state[pred], pre[pred], adds[pred]
+				frontier[pred].Each(func(t relation.Tuple) bool {
+					rel.Add(t)
+					if !old.Has(t) {
+						add.Add(t)
+					}
+					return true
+				})
 			}
 			next := make(map[string]engine.Delta, len(s.preds))
 			for pred := range s.preds {
@@ -343,11 +376,14 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 		}
 	}
 
-	// Net changes: diff against the pre-update snapshots.
-	adds, dels = make(engine.State, len(s.preds)), make(engine.State, len(s.preds))
 	for pred := range s.preds {
-		adds[pred] = m.state[pred].Diff(pre[pred])
-		dels[pred] = pre[pred].Diff(m.state[pred])
+		rel, del := m.state[pred], dels[pred]
+		cand[pred].Each(func(t relation.Tuple) bool {
+			if !rel.Has(t) {
+				del.Add(t)
+			}
+			return true
+		})
 	}
 	return pre, adds, dels
 }

@@ -17,11 +17,23 @@ import (
 //
 // Like the per-column indexes, composite indexes are built lazily on
 // first probe, published atomically (so any number of readers may probe
-// concurrently while one goroutine builds), and dropped wholesale by
-// invalidate() on mutation.  Each Relation holds a small immutable map
-// from a column-set bitmask to its index; adding an index replaces the
-// map copy-on-write under mu, so established readers never observe a
-// map being written.
+// concurrently while one goroutine builds), extended by the arena
+// suffix after appends, and made stale by invalidate() on a Remove.
+// Each Relation holds a small immutable map from a column-set bitmask
+// to its index; adding an index replaces the map copy-on-write under
+// mu, so established readers never observe a map being written.
+//
+// Published sets are shared: a Snapshot view starts with its parent's
+// complete per-column and composite sets (same generation stamp, same
+// pointers) and so answers its first probes without building anything.
+// Only the live relation ever extends a set, and its appends land past
+// the slice lengths any view reads; a view's sets are complete for its
+// fixed arena, so two relations never extend one set.
+//
+// A probe binding every column never builds a composite index: the
+// projection would be the whole tuple, and the primary key already maps
+// each tuple to its offset.  LookupCols answers such probes from the
+// key; the engine's full-key joins call OffsetOf directly.
 //
 // Projections are keyed exactly like relation storage: the packed
 // uint64 encoding when the projected tuple packs (see key.go), the
@@ -47,6 +59,17 @@ type compIndex struct {
 type compIndexSet struct {
 	gen uint64
 	m   map[uint64]*compIndex
+}
+
+// complete reports whether every index of the set covers the first n
+// arena entries.
+func (s *compIndexSet) complete(n int) bool {
+	for _, ci := range s.m {
+		if ci.n != n {
+			return false
+		}
+	}
+	return true
 }
 
 // colsMask validates cols (strictly ascending, in range, below 64) and
@@ -78,8 +101,7 @@ func (r *Relation) colsMask(cols []int) uint64 {
 // published, and rebuilding after a structural mutation.  Safe for
 // concurrent use by readers: published sets and indexes are immutable,
 // extension copies the key maps under mu and republishes atomically.
-func (r *Relation) compFor(cols []int) *compIndex {
-	mask := r.colsMask(cols)
+func (r *Relation) compFor(cols []int, mask uint64) *compIndex {
 	if p := r.cidx.Load(); p != nil && p.gen == r.gen {
 		if ci, ok := p.m[mask]; ok && ci.n == len(r.arena) {
 			return ci
@@ -155,9 +177,19 @@ func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 // mutation.  Callers must not mutate the returned slice.  Safe for
 // concurrent use by readers.  The probe itself is allocation-free on
 // the packed path; projections that spill (ids beyond the packed width)
-// pay one key allocation per probe.
+// pay one key allocation per probe.  A probe binding every column
+// builds no index: it resolves on the primary key and allocates its
+// at-most-one-element result (the engine's full-key joins call
+// OffsetOf directly instead).
 func (r *Relation) LookupCols(cols []int, vals []int) []int32 {
-	ci := r.compFor(cols)
+	mask := r.colsMask(cols)
+	if len(cols) == r.arity {
+		if off := r.OffsetOf(Tuple(vals)); off >= 0 {
+			return []int32{off}
+		}
+		return nil
+	}
+	ci := r.compFor(cols, mask)
 	if k, ok := packKey(Tuple(vals)); ok {
 		return ci.packed[k]
 	}

@@ -27,7 +27,9 @@ import (
 // entries at offsets ≥ n are invisible to it.  The live relation
 // detaches (copies its storage, leaving the old storage to the views)
 // before any mutation that would rewrite the shared prefix: every
-// Remove, and — after Seal — every mutation at all.
+// Remove, and — after Seal — every mutation at all.  A Snapshot view
+// also shares the live relation's published indexes (a Prefix view
+// does not: they may hold offsets past its end).
 //
 // Concurrency: any number of goroutines may read a relation (Has, Each,
 // Lookup, At, ...) concurrently — lazy index construction is internally
@@ -113,6 +115,17 @@ func (r *Relation) Len() int { return len(r.arena) }
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return len(r.arena) == 0 }
 
+// OffsetOf returns the arena offset of t, or -1 when t is absent or has
+// the wrong arity: the full-key probe.  A join literal with every
+// column bound resolves through it, on the primary key, instead of
+// through an index.
+func (r *Relation) OffsetOf(t Tuple) int32 {
+	if len(t) != r.arity {
+		return -1
+	}
+	return r.offsetOf(t)
+}
+
 // offsetOf returns the arena offset of t, or -1 if absent.  Offsets at
 // or beyond the arena length belong to tuples appended to a live
 // relation after this view was taken; they are not part of this
@@ -166,6 +179,14 @@ func (r *Relation) packedPut(k, h uint64, off int32) {
 // while another goroutine reads the view requires r to be sealed first
 // (see Seal); within one goroutine (or any happens-before chain) no
 // sealing is needed.
+//
+// The view takes over r's published index sets in O(1) — the
+// generation stamp and the set pointers — when they are complete, i.e.
+// cover the whole arena.  Only complete sets are taken over: r may
+// later extend a set, appending past the slice lengths the view reads,
+// and a second extension of the same set by the view would collide
+// with r's.  A view's arena never changes, so the sets it takes over
+// (and any it builds itself) stay complete and it never extends one.
 func (r *Relation) Snapshot() *Relation {
 	if r.frozen {
 		return r // already an immutable view
@@ -173,7 +194,16 @@ func (r *Relation) Snapshot() *Relation {
 	if r.share == shareNone {
 		r.share = shareWeak
 	}
-	return r.view()
+	v := r.view()
+	v.gen = r.gen
+	n := len(r.arena)
+	if p := r.idx.Load(); p != nil && p.gen == r.gen && p.n == n {
+		v.idx.Store(p)
+	}
+	if p := r.cidx.Load(); p != nil && p.gen == r.gen && p.complete(n) {
+		v.cidx.Store(p)
+	}
+	return v
 }
 
 // Prefix returns an O(1) immutable view of the first n tuples in
@@ -182,7 +212,8 @@ func (r *Relation) Snapshot() *Relation {
 // restored maintainer reconstructs its inflationary stage log: each
 // logged stage is, by the monotone-append invariant of the fixpoint
 // loops, a length-prefix of the final arena, so persisting the lengths
-// alone suffices.  It panics when n exceeds the current length.
+// alone suffices.  It panics when n exceeds the current length.  Unlike
+// Snapshot it takes over no index: r's indexes may hold offsets ≥ n.
 func (r *Relation) Prefix(n int) *Relation {
 	if n < 0 || n > len(r.arena) {
 		panic(fmt.Sprintf("relation: prefix %d of relation with %d tuples", n, len(r.arena)))
@@ -307,10 +338,7 @@ func (r *Relation) insertKey(t Tuple) {
 
 // Has reports whether t is present.
 func (r *Relation) Has(t Tuple) bool {
-	if len(t) != r.arity {
-		return false
-	}
-	return r.offsetOf(t) >= 0
+	return r.OffsetOf(t) >= 0
 }
 
 // HasHash is Has for callers that already computed h = TupleHash(t),

@@ -8,6 +8,14 @@
 // A, and a Database bundles a universe with named relations.  All
 // iteration orders exposed by this package are deterministic (sorted),
 // so every layer built on top is reproducible bit-for-bit.
+//
+// Two cost rules keep incremental maintenance proportional to the
+// change rather than to the relation.  A probe that binds every column
+// resolves on the primary key (Relation.OffsetOf); no caller ever builds
+// an index over all columns, which would be a second copy of that key.
+// A Snapshot view takes over its parent's published indexes in O(1), so
+// the pre-update views of an incremental update and the first read
+// after each publish probe without rebuilding anything.
 package relation
 
 import (
