@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/engine ./internal/relation ./internal/semantics ./internal/partition ./internal/incr ./internal/durable ./internal/server ./internal/replica
+	$(GO) test -race ./internal/engine ./internal/relation ./internal/semantics ./internal/core ./internal/incr ./internal/durable ./internal/server ./internal/replica
 
 vet:
 	$(GO) vet ./...
@@ -38,12 +38,12 @@ bench-smoke:
 
 # Machine-readable results for the perf trajectory: the headline series
 # (E8 fixpoint, E10 distance, E13 planner, E14 incremental updates, E15
-# frontier scaling, E16 magic point queries, E17 partition scaling, E18
-# dedup path) rendered to BENCH_PR8.json — committed to the repo (and uploaded by
-# CI) so the trajectory survives across PRs.  Fixed -benchtime/-count:
+# frontier scaling, E16 magic point queries, E18 dedup path) rendered
+# to BENCH_PR8.json — committed to the repo (and uploaded by CI) so the
+# trajectory survives across PRs.  Fixed -benchtime/-count:
 # medians over 5 runs of ≥100ms, not 1-iteration smoke samples.
 bench-json:
-	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E13JoinPlanner|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath' \
+	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E13JoinPlanner|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E18DedupPath' \
 		-benchtime 100ms -count 5 . | tee bench-json.txt
 	$(GO) run ./scripts/benchjson bench-json.txt > BENCH_PR8.json
 
@@ -67,14 +67,14 @@ bench-serve:
 	$(GO) run ./scripts/benchjson bench-serve.txt > BENCH_SERVE.json
 
 # CPU + allocation + contention profiles of the hot evaluation path
-# (the E8/E10 series plus the partitioned E17 sweep, whose exchange
-# rounds are what the mutex/block profiles exist to watch), written to
-# profiles/, with a top summary printed for each — so future perf PRs
-# start from data, not guesses.
+# (the E8/E10 series plus the E15 worker sweep, whose parallel rounds
+# and bucket merges are what the mutex/block profiles exist to watch),
+# written to profiles/, with a top summary printed for each — so future
+# perf PRs start from data, not guesses.
 # Inspect interactively with: go tool pprof profiles/repro.test profiles/cpu.pprof
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E17PartitionScaling' -benchtime 500ms \
+	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E15FrontierScaling' -benchtime 500ms \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof \
 		-mutexprofile profiles/mutex.pprof -blockprofile profiles/block.pprof \
 		-o profiles/repro.test .
@@ -89,19 +89,18 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Local mirror of the CI benchstat gate: compare the
-# E8/E10/E14/E15/E16/E17/E18 series on BASE (default HEAD~1) against the
+# E8/E10/E14/E15/E16/E18 series on BASE (default HEAD~1) against the
 # working tree, failing on >15% regressions of the per-series minimum
 # (the noise-robust estimator; see scripts/benchdiff).  E14 puts the
 # incremental update path (counting, DRed, replay) under the gate; E16
-# point-query latency; E17/K=1 guards the unpartitioned path against
-# exchange-machinery overhead.  Keep BENCH_SERIES in sync with the
-# benchstat job in .github/workflows/ci.yml.  Series missing on BASE (e.g. a newly added benchmark) are
+# point-query latency; E18 the packed-table and map dedup paths.  Keep
+# BENCH_SERIES in sync with the benchstat job in .github/workflows/ci.yml.  Series missing on BASE (e.g. a newly added benchmark) are
 # skipped by benchdiff.  Both sides are prebuilt and the iterations
 # interleaved A/B/A/B: running all of base then all of head lets slow
 # machine drift (thermal throttling, noisy neighbors) land entirely on
 # whichever side runs second and masquerade as a code regression.
 BASE ?= HEAD~1
-BENCH_SERIES := E8Inflationary|E10Distance|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath
+BENCH_SERIES := E8Inflationary|E10Distance|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E18DedupPath
 bench-compare:
 	rm -rf /tmp/bench-base && git worktree prune
 	git worktree add /tmp/bench-base $(BASE)

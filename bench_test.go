@@ -351,45 +351,11 @@ func BenchmarkE15FrontierScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkE17PartitionScaling: the partition-count sweep behind
-// experiment E17 — the transitive closure and the distance program
-// evaluated with K-way hash-partitioned fixpoint rounds,
-// K ∈ {1, 2, 4, 8}.  K=1 bypasses the exchange entirely (the
-// unpartitioned baseline); K > 1 measures the exchange and prefilter
-// overhead on this machine, and the scaling when cores are available.
-func BenchmarkE17PartitionScaling(b *testing.B) {
-	cases := []struct {
-		name string
-		src  string
-		db   func() *relation.Database
-	}{
-		{"tc/G(48,0.06)", tcSrc,
-			func() *relation.Database { return graphs.Random(newRNG(48), 48, 0.06).Database() }},
-		{"distance/G(14,0.25)", distSrc,
-			func() *relation.Database { return graphs.Random(newRNG(14), 14, 0.25).Database() }},
-	}
-	for _, tc := range cases {
-		prog := parser.MustProgram(tc.src)
-		db := tc.db()
-		for _, k := range experiments.E17Partitions() {
-			b.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(b *testing.B) {
-				in := engine.MustNew(prog, db.Clone())
-				in.SetPartitions(k)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					semantics.Inflationary(in)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkE18DedupPath: the dedup-path ablation behind experiment E18
-// — the transitive closure and the distance program evaluated across
-// the {packed-key table, frontier prefilter} matrix.  table=off is the
-// Go-map baseline, filter=off the exact-probe-only baseline; all four
+// — the transitive closure and the distance program evaluated with the
+// packed-key table on and off.  table=off is the Go-map baseline; both
 // cells are bit-exact (experiment E18 checks that), so the cells
-// measure the dedup structures alone.
+// measure the dedup structure alone.
 func BenchmarkE18DedupPath(b *testing.B) {
 	cases := []struct {
 		name string
@@ -406,19 +372,14 @@ func BenchmarkE18DedupPath(b *testing.B) {
 		prog := parser.MustProgram(tc.src)
 		db := tc.db()
 		for _, cell := range []struct {
-			name          string
-			table, filter bool
-		}{
-			{"table=off/filter=off", false, false},
-			{"table=on/filter=off", true, false},
-			{"table=on/filter=on", true, true},
-		} {
+			name  string
+			table bool
+		}{{"table=off", false}, {"table=on", true}} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, cell.name), func(b *testing.B) {
 				// The packed-table knob is sampled at Relation construction,
 				// so the database clone happens under the cell's setting.
 				relation.SetDefaultPackedTable(cell.table)
 				in := engine.MustNew(prog, db.Clone())
-				in.SetFrontierFilter(cell.filter)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					semantics.Inflationary(in)

@@ -27,26 +27,22 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "run a single experiment (E1..E18)")
-		quick      = flag.Bool("quick", false, "shorten parameter sweeps")
-		list       = flag.Bool("list", false, "list experiments")
-		workers    = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-		planner    = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
-		explain    = flag.Bool("explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
-		frontier   = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter    = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		ptable     = flag.Bool("packed-table", true, "open-addressing packed-key dedup table (false = Go map baseline)")
-		shard      = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
-		partitions = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
+		exp      = flag.String("exp", "", "run a single experiment (E1..E18)")
+		quick    = flag.Bool("quick", false, "shorten parameter sweeps")
+		list     = flag.Bool("list", false, "list experiments")
+		workers  = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
+		planner  = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
+		explain  = flag.Bool("explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
+		frontier = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
+		ptable   = flag.Bool("packed-table", true, "open-addressing packed-key dedup table (false = Go map baseline)")
+		shard    = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
 	)
 	flag.Parse()
 	engine.SetDefaultWorkers(*workers)
 	engine.SetDefaultCostPlanner(*planner)
 	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
 	relation.SetDefaultPackedTable(*ptable)
 	engine.SetDefaultSharding(*shard)
-	engine.SetDefaultPartitions(*partitions)
 
 	if *explain {
 		// Steady-state plans: evaluate first, then plan against the

@@ -44,20 +44,16 @@ func main() {
 		workers     = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 		planner     = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
 		frontier    = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter     = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
 		shard       = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
 		explain     = flag.Bool("explain", false, "print per-rule evaluation plans at the computed fixpoint")
 		query       = flag.String("query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
 		magicOn     = flag.Bool("magic", true, "with -query: demand-driven magic-set evaluation (false = full materialization + filter)")
-		partitions  = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	)
 	flag.Parse()
 	engine.SetDefaultWorkers(*workers)
 	engine.SetDefaultCostPlanner(*planner)
 	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
 	engine.SetDefaultSharding(*shard)
-	engine.SetDefaultPartitions(*partitions)
 	if *programPath == "" || *factsPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: datalog -program FILE -facts FILE [-semantics NAME]")
 		flag.PrintDefaults()

@@ -42,14 +42,12 @@ func main() {
 		workers  = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 		planner  = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
 		frontier = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter  = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
 		shard    = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
 	)
 	flag.Parse()
 	engine.SetDefaultWorkers(*workers)
 	engine.SetDefaultCostPlanner(*planner)
 	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
 	engine.SetDefaultSharding(*shard)
 
 	switch *kind {

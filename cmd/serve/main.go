@@ -72,12 +72,10 @@ type options struct {
 	semantics string
 	addr      string
 
-	workers        int
-	planner        bool
-	frontier       bool
-	frontierFilter bool
-	shard          bool
-	partitions     int
+	workers  int
+	planner  bool
+	frontier bool
+	shard    bool
 
 	magic        bool
 	queueDepth   int
@@ -106,9 +104,7 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.IntVar(&opts.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&opts.planner, "planner", true, "cost-based join planning (false = syntactic literal order)")
 	fs.BoolVar(&opts.frontier, "frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-	fs.BoolVar(&opts.frontierFilter, "frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
 	fs.BoolVar(&opts.shard, "shard", true, "intra-rule data-parallel sharding when rules < workers")
-	fs.IntVar(&opts.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	fs.BoolVar(&opts.magic, "magic", false, "answer /v1/query IDB queries demand-driven (magic-set rewriting) by default")
 	fs.IntVar(&opts.queueDepth, "queue-depth", 256, "bound on queued updates; a full queue answers 429")
 	fs.DurationVar(&opts.commitWindow, "commit-window", 0, "how long the committer waits for more updates to coalesce (0 = drain-only)")
@@ -180,12 +176,10 @@ func (o *options) serverConfig() (server.Config, error) {
 	}
 	return server.Config{
 		Engine: engine.Options{
-			Workers:        o.workers,
-			Planner:        engine.ToggleOf(o.planner),
-			Frontier:       engine.ToggleOf(o.frontier),
-			FrontierFilter: engine.ToggleOf(o.frontierFilter),
-			Sharding:       engine.ToggleOf(o.shard),
-			Partitions:     o.partitions,
+			Workers:  o.workers,
+			Planner:  engine.ToggleOf(o.planner),
+			Frontier: engine.ToggleOf(o.frontier),
+			Sharding: engine.ToggleOf(o.shard),
 		},
 		MagicDefault:      o.magic,
 		QueueDepth:        o.queueDepth,
@@ -285,8 +279,8 @@ func run(args []string) error {
 	}
 	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v",
 		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond))
-	log.Printf("serve: workers=%d planner=%t frontier=%t frontier-filter=%t shard=%t partitions=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
-		opts.workers, opts.planner, opts.frontier, opts.frontierFilter, opts.shard, opts.partitions, opts.magic,
+	log.Printf("serve: workers=%d planner=%t frontier=%t shard=%t magic=%t queue-depth=%d commit-window=%v max-batch=%d",
+		opts.workers, opts.planner, opts.frontier, opts.shard, opts.magic,
 		opts.queueDepth, opts.commitWindow, opts.maxBatch)
 	if opts.dataDir != "" {
 		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%s)",

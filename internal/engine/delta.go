@@ -6,7 +6,7 @@
 // predicates (EDB or IDB), driving positive literals (a tuple the
 // literal can newly/no-longer read) or negated literals (a tuple whose
 // arrival/departure flips the check).  ApplyDeltas generalizes
-// ApplyDelta to that primitive; ApplyWithin restricts evaluation to a
+// ApplyDeltaSplit to that primitive; ApplyWithin restricts evaluation to a
 // candidate head set (the rederivation step of DRed); the *Count
 // variants return exact derivation counts (the counting algorithm).
 //

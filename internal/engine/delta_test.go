@@ -59,12 +59,12 @@ func TestApplyDeltasPosDriverMatchesApplyDelta(t *testing.T) {
 	cur := in.Apply(old) // stage 1: the E edges
 	delta := cur.Diff(old)
 
-	want := in.ApplyDelta(old, delta, cur)
+	want := in.ApplyDeltaSplit(old, delta, cur, cur)
 	got := in.ApplyDeltas(cur, cur, map[string]engine.Delta{
 		"s": {PosDriver: delta["s"], Before: old["s"]},
 	})
 	if !got.Equal(want) {
-		t.Fatalf("ApplyDeltas != ApplyDelta:\ngot  %v\nwant %v",
+		t.Fatalf("ApplyDeltas != ApplyDeltaSplit:\ngot  %v\nwant %v",
 			got.Format(in.Universe()), want.Format(in.Universe()))
 	}
 }

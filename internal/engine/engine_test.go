@@ -362,7 +362,7 @@ S(X,Y) :- E(X,Z), S(Z,Y).
 	for round := 0; round < 10; round++ {
 		naive := in.Apply(cur)
 		naiveNew := naive.Diff(cur)
-		semi := in.ApplyDelta(prev, delta, cur)
+		semi := in.ApplyDeltaSplit(prev, delta, cur, cur)
 		semiNew := semi.Diff(cur)
 		if !naiveNew.Equal(semiNew) {
 			t.Fatalf("round %d: semi-naive differs\nnaive: %v\nsemi: %v",
@@ -437,7 +437,7 @@ R(X) :- S(X,X), P(X,Y).
 		delta := cur.Clone()
 		for {
 			naiveNew := in.Apply(cur).Diff(cur)
-			semiNew := in.ApplyDelta(prev, delta, cur).Diff(cur)
+			semiNew := in.ApplyDeltaSplit(prev, delta, cur, cur).Diff(cur)
 			if !naiveNew.Equal(semiNew) {
 				return false
 			}

@@ -17,12 +17,14 @@ import (
 // When cnt is non-nil the task is a counting pass: every emission bumps
 // the head tuple's derivation count instead of inserting into out.
 //
-// cur, when non-nil, is the frontier filter: emissions already present
-// in it are dropped at emit time (a read-only membership probe fused
-// into the insert, see Relation.AddNotIn), so a frontier pass returns
-// exactly the genuinely-new tuples without a derived state or a Diff.
-// parts, when non-nil, replaces out with hash-partitioned buckets so
-// per-worker outputs can be merged bucket-by-bucket and concatenated
+// cur, when non-nil, is the accumulated state of the head predicate:
+// emissions already present in it are dropped at emit time by one exact
+// read-only membership probe fused into the insert (Relation.AddNotIn),
+// so a frontier pass returns exactly the genuinely-new tuples without a
+// derived state or a Diff.  Every fixpoint loop and every maintainer
+// propagation round dedups through this one probe.  parts, when
+// non-nil, replaces out with the worker's hash buckets (see workerOut)
+// so per-worker outputs can be merged bucket-by-bucket and concatenated
 // disjointly.
 type evalCtx struct {
 	pos     []*relation.Relation
@@ -34,15 +36,6 @@ type evalCtx struct {
 	usize   int
 	headBuf relation.Tuple
 	negBuf  relation.Tuple
-	// filter, when non-nil, is a Bloom summary of cur fronting the exact
-	// frontier probe on partitioned passes: a "definitely absent" answer
-	// skips the cur map probe entirely (the tuple is surely new), a
-	// "maybe present" answer falls through to the exact AddNotIn.
-	// fprobes/fskips count the filter consultations and the probes it
-	// saved, accumulated into the workerOut after the rule completes.
-	filter  *relation.Filter
-	fprobes int64
-	fskips  int64
 }
 
 // evalTask is one unit of parallel work: a rule plan plus optional
@@ -94,19 +87,13 @@ func (in *Instance) fullTasks() []evalTask {
 	return tasks
 }
 
-// ApplyDelta computes the subset of Θ(cur) derivable by rule
+// ApplyDeltaSplit computes the subset of Θ(cur) derivable by rule
 // applications that use at least one tuple of delta in a positive IDB
-// literal.  old must be the previous stage (cur = old ∪ delta).
-// Negated literals are evaluated against cur.  Rules without positive
+// literal, with negated IDB literals evaluated against neg.  old must
+// be the previous stage (cur = old ∪ delta).  Rules without positive
 // IDB literals contribute nothing (their derivations never depend on
-// the delta; see the package comment).
-func (in *Instance) ApplyDelta(old, delta, cur State) State {
-	return in.ApplyDeltaSplit(old, delta, cur, cur)
-}
-
-// ApplyDeltaSplit is ApplyDelta with negated IDB literals evaluated
-// against an explicit state neg instead of cur.  Like ApplySplit, the
-// (rule, variant) pairs run concurrently on the worker pool.
+// the delta; see the package comment).  Like ApplySplit, the (rule,
+// variant) pairs run concurrently on the worker pool.
 //
 // It is the IDB-insert special case of the general delta machinery in
 // delta.go: every IDB predicate drives positive literals with its delta
@@ -134,18 +121,6 @@ type runOpts struct {
 	// tasks are split into arena-range shards of their driver relation so
 	// every worker gets work even on programs with few rules.
 	shard bool
-	// nparts, when > 1, switches every predicate's per-worker output to
-	// nparts owner buckets partitioned by TupleHash — the exchange unit
-	// of partitioned evaluation (runTasksParts).  Unlike the hint-driven
-	// partitioning above, it applies unconditionally.
-	nparts int
-	// workers caps the worker pool for this pass; 0 follows
-	// in.Workers().  Partitioned passes split the instance pool across
-	// the concurrently-evaluating partitions.
-	workers int
-	// filters, when non-nil, front the frontier probe per predicate with
-	// a Bloom summary of the accumulated state (see evalCtx.filter).
-	filters map[string]*relation.Filter
 }
 
 // workerOut is one worker's private derivation output.  Most predicates
@@ -157,14 +132,7 @@ type runOpts struct {
 type workerOut struct {
 	out     State
 	parts   map[string][]*relation.Relation
-	against State // frontier filter, nil when the pass keeps everything
-	// filters and the probe counters serve partitioned exchange passes:
-	// per-predicate Bloom prefilters over the accumulated state, and the
-	// per-worker tallies of how often they were consulted / saved the
-	// exact probe.
-	filters map[string]*relation.Filter
-	fprobes int64
-	fskips  int64
+	against State // accumulated state probed at emit, nil when the pass keeps everything
 }
 
 // partitionThreshold is the expected per-predicate cardinality above
@@ -235,24 +203,7 @@ func (in *Instance) newWorkerState() State {
 // nbuckets ≤ 1 disables partitioning (the sequential path and legacy
 // union merges).
 func (in *Instance) newWorkerOut(opts runOpts, nbuckets int) *workerOut {
-	wo := &workerOut{out: in.newWorkerState(), against: opts.frontier, filters: opts.filters}
-	if opts.nparts > 0 {
-		// Partition-exchange pass: every predicate derives into nparts
-		// owner buckets, regardless of expected cardinality — the bucket
-		// boundary is the exchange unit, not a merge optimization.
-		wo.parts = make(map[string][]*relation.Relation, len(wo.out))
-		for pred, r := range wo.out {
-			parts := make([]*relation.Relation, opts.nparts)
-			for b := range parts {
-				parts[b] = in.getRel(r.Arity())
-				if n := opts.hints[pred]; n > 0 {
-					parts[b].ReserveHint(n / opts.nparts)
-				}
-			}
-			wo.parts[pred] = parts
-		}
-		return wo
-	}
+	wo := &workerOut{out: in.newWorkerState(), against: opts.frontier}
 	for pred, n := range opts.hints {
 		if r := wo.out[pred]; r != nil {
 			if nbuckets > 1 && n >= partitionThreshold {
@@ -286,14 +237,6 @@ func (in *Instance) newWorkerOut(opts runOpts, nbuckets int) *workerOut {
 // are first split into arena-range shards of their driver relation (see
 // expandShards), so even a two-rule program keeps every core busy.
 func (in *Instance) runTasks(tasks []evalTask, pos, neg State, opts runOpts) State {
-	out, _ := in.runTasksStats(tasks, pos, neg, opts)
-	return out
-}
-
-// runTasksStats is runTasks returning the pass's emit-path prefilter
-// telemetry alongside the derived state (zero when opts.filters is
-// nil — the exact-probe-only path never consults a filter).
-func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts) (State, FilterStats) {
 	nw := in.Workers()
 	if opts.shard && nw > len(tasks) && len(tasks) > 0 && in.Sharding() {
 		tasks = in.expandShards(tasks, pos, nw)
@@ -306,7 +249,7 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 		for _, t := range tasks {
 			in.evalRule(t, pos, neg, wo, nil)
 		}
-		return wo.out, FilterStats{Probes: wo.fprobes, Skips: wo.fskips}
+		return wo.out
 	}
 
 	wos := make([]*workerOut, nw)
@@ -328,12 +271,7 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 		}(w)
 	}
 	wg.Wait()
-	var st FilterStats
-	for _, wo := range wos {
-		st.Probes += wo.fprobes
-		st.Skips += wo.fskips
-	}
-	return in.mergeWorkerOuts(wos, nw), st
+	return in.mergeWorkerOuts(wos, nw)
 }
 
 // mergeWorkerOuts combines per-worker outputs: plain predicates by set
@@ -527,14 +465,13 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 // reference so pooled entries never pin last round's states.
 func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
-	ctx.out, ctx.cur, ctx.parts, ctx.cnt, ctx.filter = nil, nil, nil, nil, nil
+	ctx.out, ctx.cur, ctx.parts, ctx.cnt = nil, nil, nil, nil
 	for i := range ctx.pos {
 		ctx.pos[i] = nil
 	}
 	for i := range ctx.neg {
 		ctx.neg[i] = nil
 	}
-	ctx.fprobes, ctx.fskips = 0, 0
 	scratchPool.Put(sc)
 }
 
@@ -561,9 +498,6 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	}
 	if wo.against != nil {
 		ctx.cur = wo.against[rp.headPred]
-	}
-	if wo.filters != nil {
-		ctx.filter = wo.filters[rp.headPred]
 	}
 	if cnt != nil {
 		ms := cnt[rp.headPred]
@@ -602,8 +536,6 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	}
 	ep := buildExec(rp, ctx.pos, in.CostPlanner(), shardLit, task.shardLo, task.shardHi)
 	in.run(rp, ctx, ep, 0, sc.binding)
-	wo.fprobes += ctx.fprobes
-	wo.fskips += ctx.fskips
 	in.putScratch(sc)
 }
 
@@ -621,10 +553,10 @@ func slotValue(s slot, binding []int) int {
 func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	if si == len(ep.steps) {
 		// Fill the scratch head buffer; AddNotIn (and Multiset.Bump for a
-		// new tuple) copies it only when actually stored.  ctx.cur is the
-		// frontier filter: emissions already in the accumulated state are
-		// dropped here, by one read-only membership probe, instead of
-		// surviving into a derived state only to be removed by a Diff.
+		// new tuple) copies it only when actually stored.  Emissions
+		// already in the accumulated state ctx.cur are dropped here, by
+		// one read-only membership probe, instead of surviving into a
+		// derived state only to be removed by a Diff.
 		t := ctx.headBuf
 		for i, s := range rp.headSlots {
 			t[i] = slotValue(s, binding)
@@ -633,37 +565,10 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 		case ctx.cnt != nil:
 			ctx.cnt.Bump(t, 1)
 		case ctx.parts != nil:
-			// One emit-time hash serves owner routing, the Bloom prefilter,
-			// and both membership probes (bucket dedup + accumulated state).
+			// One emit-time hash serves bucket routing and both membership
+			// probes (bucket dedup + accumulated state).
 			h := relation.TupleHash(t)
-			b := ctx.parts[h%uint64(len(ctx.parts))]
-			if ctx.filter != nil {
-				// "Definitely absent" proves the tuple is not in the
-				// accumulated state, so only the bucket's own dedup is
-				// needed; "maybe present" takes the exact probe, which
-				// drops duplicates exactly.
-				ctx.fprobes++
-				if !ctx.filter.MayContainHash(h) {
-					ctx.fskips++
-					b.AddHash(t, h)
-				} else {
-					b.AddNotInHash(t, h, ctx.cur)
-				}
-			} else {
-				b.AddNotInHash(t, h, ctx.cur)
-			}
-		case ctx.filter != nil:
-			// Unpartitioned frontier pass fronted by the accumulated-state
-			// Bloom summary (Options.FrontierFilter): same protocol as the
-			// exchange path, minus the owner routing.
-			h := relation.TupleHash(t)
-			ctx.fprobes++
-			if !ctx.filter.MayContainHash(h) {
-				ctx.fskips++
-				ctx.out.AddHash(t, h)
-			} else {
-				ctx.out.AddNotInHash(t, h, ctx.cur)
-			}
+			ctx.parts[h%uint64(len(ctx.parts))].AddNotInHash(t, h, ctx.cur)
 		default:
 			ctx.out.AddNotIn(t, ctx.cur)
 		}

@@ -11,10 +11,13 @@
 // read-only membership probe inside the compiled bind/check loop, see
 // Relation.AddNotIn) and insert genuinely-new tuples straight into the
 // per-predicate delta.  The returned state IS the next delta; callers
-// union it into the accumulated state and continue.  SetFrontier(false)
-// restores the derive+Diff pipeline behind the same entry points — the
-// property-test oracle and the ablation baseline, exactly like the
-// SetCostPlanner knob.
+// union it into the accumulated state and continue.  That exact probe
+// is the only dedup the semi-naive round has: every fixpoint loop of
+// the semantics package and every propagation round of the incremental
+// maintainer runs the same ApplyDeltaSplitFrontier/ApplyDeltasFrontier
+// body.  SetFrontier(false) restores the derive+Diff pipeline behind
+// the same entry points — the property-test oracle and the ablation
+// baseline, exactly like the SetCostPlanner knob.
 //
 // Orthogonally, intra-rule sharding keeps every worker busy when a
 // program has fewer rule tasks than the pool has workers: a task's
@@ -31,14 +34,6 @@ import (
 
 	"repro/internal/relation"
 )
-
-// ApplyFrontier returns Θ(S̄) minus against: every emission already in
-// against is dropped at emit time.  With against = s it computes the
-// tuples one Θ application adds to s — the inflationary delta — in a
-// single pass.
-func (in *Instance) ApplyFrontier(s, against State) State {
-	return in.ApplySplitFrontier(s, s, against)
-}
 
 // ApplySplitFrontier is ApplySplit filtered against an accumulated
 // state: it returns exactly ApplySplit(pos, neg).Diff(against), without
@@ -58,20 +53,6 @@ func (in *Instance) ApplySplitFrontier(pos, neg, against State) State {
 // relations are pre-sized from the incoming delta's cardinality (the
 // best available estimate of the next round's).
 func (in *Instance) ApplyDeltaSplitFrontier(old, delta, cur, neg State) State {
-	out, _ := in.ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg, nil)
-	return out
-}
-
-// ApplyDeltaSplitFrontierFiltered is ApplyDeltaSplitFrontier with the
-// accumulated-state probe fronted by per-predicate Bloom summaries of
-// cur (see Options.FrontierFilter): a "definitely absent" verdict off
-// the emit-time TupleHash skips the exact probe entirely.  filters
-// must cover cur completely — the fixpoint loops build them with
-// FrontierFilters and keep them in lockstep with ExtendFrontierFilters
-// — or be nil, which degenerates to the unfiltered entry point.  The
-// returned tallies report how often the filter was consulted and how
-// often it resolved the probe.
-func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, filters map[string]*relation.Filter) (State, FilterStats) {
 	deltas := make(map[string]Delta, len(delta))
 	hints := make(map[string]int, len(delta))
 	for pred, d := range delta {
@@ -81,90 +62,9 @@ func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, 
 		}
 	}
 	if !in.FrontierEval() {
-		// The prefilter only fronts the fused probe; on the derive+Diff
-		// oracle it is inert.
-		return diffAgainst(in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true}), cur), FilterStats{}
+		return diffAgainst(in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true}), cur)
 	}
-	out, st := in.runTasksStats(in.deltaTasks(deltas), cur, neg,
-		runOpts{frontier: cur, hints: hints, shard: true, filters: filters})
-	frontierFilterProbes.Add(st.Probes)
-	frontierFilterSkips.Add(st.Skips)
-	return out, st
-}
-
-// frontierFilterMin is the accumulated-relation size below which no
-// frontier prefilter is built: a Bloom pass over a relation that fits
-// in cache costs more than the map probes it saves.  Once a relation
-// crosses the threshold its filter persists and is extended per round.
-const frontierFilterMin = 1024
-
-// frontierFilterHeadroom is the minimum growth allowance fresh
-// prefilters are sized with; filterCap doubles on top of it so rebuild
-// cost amortizes geometrically — a flat allowance forces a full O(cur)
-// rebuild every round once per-round growth exceeds it, turning the
-// filter into a quadratic tax on fast-growing relations.
-const frontierFilterHeadroom = 4096
-
-// filterCap is the design load a (re)built frontier prefilter is sized
-// for, given the relation it must cover.
-func filterCap(r *relation.Relation) int {
-	return 2*r.Len() + frontierFilterHeadroom
-}
-
-// FrontierFilters builds per-predicate Bloom summaries of cur for the
-// predicates worth filtering (≥ frontierFilterMin tuples); nil when
-// none qualify.  The result covers cur exactly and must be kept in
-// lockstep with it via ExtendFrontierFilters.
-func FrontierFilters(cur State) map[string]*relation.Filter {
-	return ExtendFrontierFilters(nil, cur, nil)
-}
-
-// ExtendFrontierFilters keeps frontier prefilters covering the
-// accumulated state across a round: grown holds the tuples just
-// unioned into cur (they are added to existing filters), predicates
-// newly past the size threshold get a fresh filter over all of cur,
-// and any filter pushed past its design load is rebuilt at current
-// occupancy plus headroom.  It returns the (possibly created) map —
-// the no-false-negatives coverage contract holds on every return.
-func ExtendFrontierFilters(filters map[string]*relation.Filter, cur, grown State) map[string]*relation.Filter {
-	for pred, r := range cur {
-		f := filters[pred]
-		if f == nil {
-			if r.Len() < frontierFilterMin {
-				continue
-			}
-			if filters == nil {
-				filters = make(map[string]*relation.Filter, len(cur))
-			}
-			filters[pred] = relation.FilterOf(r, filterCap(r))
-			continue
-		}
-		if g := grown[pred]; g != nil {
-			g.Each(func(t relation.Tuple) bool {
-				f.Add(t)
-				return true
-			})
-		}
-		if f.Overloaded() {
-			filters[pred] = relation.FilterOf(r, filterCap(r))
-		}
-	}
-	return filters
-}
-
-// frontierFilterProbes/Skips are the process-wide frontier-prefilter
-// tallies surfaced by the serve daemon's /v1/metrics engine block,
-// mirroring the partition package's exchange-filter counters.
-var (
-	frontierFilterProbes atomic.Int64
-	frontierFilterSkips  atomic.Int64
-)
-
-// FrontierFilterTotals reports the process-wide frontier-prefilter
-// telemetry: total emit-path consultations and the subset that
-// resolved to "definitely absent" (skipping the exact probe).
-func FrontierFilterTotals() (probes, skips int64) {
-	return frontierFilterProbes.Load(), frontierFilterSkips.Load()
+	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{frontier: cur, hints: hints, shard: true})
 }
 
 // ApplyDeltasFrontier is ApplyDeltas filtered against an accumulated
@@ -217,29 +117,6 @@ func (in *Instance) SetFrontier(on bool) { in.frontier = ToggleOf(on) }
 // FrontierEval reports the effective frontier setting: the value set
 // with SetFrontier, else the process default, else on.
 func (in *Instance) FrontierEval() bool { return in.frontier.Enabled(!defaultFrontierOff.Load()) }
-
-// defaultFrontierFilterOff is the process-wide default for the
-// frontier prefilter, on unless disabled.
-var defaultFrontierFilterOff atomic.Bool
-
-// SetDefaultFrontierFilter sets the process-wide default for instances
-// without an explicit SetFrontierFilter call.  On by default.
-//
-// Deprecated: prefer Options.FrontierFilter per call; this setter
-// remains as the fallback a ToggleDefault resolves to.
-func SetDefaultFrontierFilter(on bool) { defaultFrontierFilterOff.Store(!on) }
-
-// SetFrontierFilter selects whether the unpartitioned fixpoint loops
-// front the exact frontier probe with a Bloom summary of the
-// accumulated state — bit-exact either way, the knob is the ablation
-// baseline, mirroring SetExchangeFilter on the partitioned path.
-func (in *Instance) SetFrontierFilter(on bool) { in.frontFilter = ToggleOf(on) }
-
-// FrontierFilter reports the effective frontier-prefilter setting: the
-// value set with SetFrontierFilter, else the process default, else on.
-func (in *Instance) FrontierFilter() bool {
-	return in.frontFilter.Enabled(!defaultFrontierFilterOff.Load())
-}
 
 // SetDefaultSharding sets the process-wide default for instances
 // without an explicit SetSharding call.  On by default.

@@ -81,7 +81,7 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 func inflateFrontier(in *Instance) State {
 	cur := in.Apply(in.NewState())
 	for {
-		nd := in.ApplyFrontier(cur, cur)
+		nd := in.ApplySplitFrontier(cur, cur, cur)
 		if nd.Empty() {
 			return cur
 		}
@@ -207,115 +207,6 @@ func TestFrontierKnobs(t *testing.T) {
 	}
 	in.SetFrontier(true)
 	in.SetSharding(true)
-}
-
-// TestFrontierFilterKnobs covers the tri-state frontier-prefilter
-// selector: built-in on, process default, per-instance override, and
-// Options threading.
-func TestFrontierFilterKnobs(t *testing.T) {
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).")
-	in := MustNew(prog, pathDB(3))
-	if !in.FrontierFilter() {
-		t.Fatal("frontier filter must default on")
-	}
-	SetDefaultFrontierFilter(false)
-	defer SetDefaultFrontierFilter(true)
-	if in.FrontierFilter() {
-		t.Fatal("process default off must win over the built-in")
-	}
-	in.SetFrontierFilter(true)
-	if !in.FrontierFilter() {
-		t.Fatal("per-instance on must win over the process default")
-	}
-	in.SetFrontierFilter(false)
-	if in.FrontierFilter() {
-		t.Fatal("per-instance off must stick")
-	}
-	in2, err := NewWith(prog, pathDB(3), Options{FrontierFilter: On})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in2.FrontierFilter() {
-		t.Fatal("Options.FrontierFilter=On must win over the process default")
-	}
-}
-
-// TestFrontierFilteredMatchesExact drives the filtered round entry
-// point directly: with complete prefilters over the accumulated state,
-// the round's output must be bit-exact with the unfiltered round, the
-// filter must actually be consulted, and skips must stay plausible.
-func TestFrontierFilteredMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), E(Z,Y).")
-	db := randomEdgeDB(rng, 40, 0.2)
-	in := MustNew(prog, db)
-	in.SetWorkers(1)
-
-	// Run two semi-naive rounds by hand to get a mid-fixpoint state.
-	prev := in.NewState()
-	cur := in.ApplySplit(prev, prev)
-	delta := cur.Snapshot()
-	newDelta := in.ApplyDeltaSplitFrontier(prev, delta, cur, cur)
-	prev = cur.Snapshot()
-	cur.UnionDisjoint(newDelta)
-
-	want := in.ApplyDeltaSplitFrontier(prev, newDelta, cur, cur)
-
-	// Build filters over everything (threshold-free) so small states are
-	// exercised too.
-	filters := make(map[string]*relation.Filter, len(cur))
-	for pred, r := range cur {
-		filters[pred] = relation.FilterOf(r, r.Len()+64)
-	}
-	got, st := in.ApplyDeltaSplitFrontierFiltered(prev, newDelta, cur, cur, filters)
-	if !got.Equal(want) {
-		t.Fatalf("filtered round differs from exact round")
-	}
-	if st.Probes <= 0 {
-		t.Fatalf("filter never consulted (probes %d)", st.Probes)
-	}
-	if st.Skips < 0 || st.Skips > st.Probes {
-		t.Fatalf("implausible tallies: probes %d skips %d", st.Probes, st.Skips)
-	}
-	p0, s0 := FrontierFilterTotals()
-	if p0 <= 0 || s0 > p0 {
-		t.Fatalf("process totals not accumulated: probes %d skips %d", p0, s0)
-	}
-}
-
-// TestExtendFrontierFilters pins the filter lifecycle: below-threshold
-// predicates get no filter, crossing the threshold creates one covering
-// the whole relation, and growth keeps coverage (no false negatives).
-func TestExtendFrontierFilters(t *testing.T) {
-	mk := func(lo, hi int) *relation.Relation {
-		r := relation.New(1)
-		for i := lo; i < hi; i++ {
-			r.Add(relation.Tuple{i})
-		}
-		return r
-	}
-	cur := State{"p": mk(0, 100)}
-	if f := FrontierFilters(cur); f != nil {
-		t.Fatalf("filter built below threshold")
-	}
-	cur = State{"p": mk(0, 2000)}
-	filters := FrontierFilters(cur)
-	if filters == nil || filters["p"] == nil {
-		t.Fatal("no filter past threshold")
-	}
-	grown := State{"p": mk(2000, 2600)}
-	cur["p"].UnionWith(grown["p"])
-	filters = ExtendFrontierFilters(filters, cur, grown)
-	miss := 0
-	cur["p"].Each(func(tu relation.Tuple) bool {
-		if !filters["p"].MayContainHash(relation.TupleHash(tu)) {
-			miss++
-		}
-		return true
-	})
-	if miss != 0 {
-		t.Fatalf("%d false negatives after extension — coverage contract broken", miss)
-	}
 }
 
 // TestExpandShardsPartition checks the shard expansion invariants

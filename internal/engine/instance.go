@@ -73,15 +73,6 @@ type Instance struct {
 	// driver relation into arena-range shards when tasks < workers.  See
 	// SetSharding.
 	sharding Toggle
-	// nparts is the partitioned-evaluation width for the semi-naive
-	// fixpoint loops; 0 follows the process default.  See SetPartitions.
-	nparts int
-	// exchFilter selects the Bloom prefilter on the partition exchange
-	// path.  See SetExchangeFilter.
-	exchFilter Toggle
-	// frontFilter selects the Bloom prefilter on the unpartitioned
-	// frontier path.  See SetFrontierFilter.
-	frontFilter Toggle
 }
 
 // New compiles prog against db.  It returns an error if the program

@@ -11,6 +11,11 @@
 // semantics.StratifiedOpts, incr.NewWith, server.Config) down to every
 // Instance they construct.  The zero Options follows the process-wide
 // defaults, so the old setters keep working as deprecated wrappers.
+//
+// There are four knobs, and none of them picks a different semi-naive
+// round: Workers sizes the pool, Sharding splits tasks across it,
+// Planner and Frontier each select between the production path and the
+// oracle it is tested against (syntactic literal order, derive+Diff).
 package engine
 
 import (
@@ -70,20 +75,6 @@ type Options struct {
 	// Sharding allows intra-rule data-parallel sharding when a round
 	// has fewer rule tasks than workers.
 	Sharding Toggle
-	// Partitions is the number of hash-partitioned evaluator instances
-	// the semi-naive fixpoint loops split into (see internal/partition);
-	// 0 follows the process default (SetDefaultPartitions, else 1 — a
-	// single unpartitioned instance).
-	Partitions int
-	// ExchangeFilter selects the Bloom prefilter on the partition
-	// exchange path (Off = every emission takes the exact
-	// accumulated-state probe, the ablation baseline).
-	ExchangeFilter Toggle
-	// FrontierFilter selects the Bloom prefilter on the unpartitioned
-	// frontier path — the same prefilter ExchangeFilter applies to the
-	// exchange path, fronting the fixpoint loops' accumulated-state
-	// probe (Off = exact probes only, the ablation baseline).
-	FrontierFilter Toggle
 }
 
 // apply configures in with the non-default options.
@@ -99,15 +90,6 @@ func (o Options) apply(in *Instance) {
 	}
 	if o.Sharding != ToggleDefault {
 		in.sharding = o.Sharding
-	}
-	if o.Partitions > 0 {
-		in.SetPartitions(o.Partitions)
-	}
-	if o.ExchangeFilter != ToggleDefault {
-		in.exchFilter = o.ExchangeFilter
-	}
-	if o.FrontierFilter != ToggleDefault {
-		in.frontFilter = o.FrontierFilter
 	}
 }
 

@@ -47,10 +47,10 @@ func TestApplySplitParallelDeterministic(t *testing.T) {
 			}
 
 			delta := s2Input.Diff(s1)
-			got := par.ApplyDelta(s1, delta, s2Input)
-			want := serial.ApplyDelta(s1, delta, s2Input)
+			got := par.ApplyDeltaSplit(s1, delta, s2Input, s2Input)
+			want := serial.ApplyDeltaSplit(s1, delta, s2Input, s2Input)
 			if !got.Equal(want) {
-				t.Fatalf("seed %d workers %d: ApplyDelta differs", seed, nw)
+				t.Fatalf("seed %d workers %d: ApplyDeltaSplit differs", seed, nw)
 			}
 		}
 	}

@@ -14,16 +14,16 @@
 // extension for unbound variables, and eager negative/comparison
 // checks — and exposes three entry points:
 //
-//	Apply(S)                 Θ(S̄)
-//	ApplyDelta(old, Δ, cur)  the tuples of Θ(cur) derivable using ≥1 Δ-tuple
-//	IsFixpoint(S)            Θ(S̄) = S̄
+//	Apply(S)                           Θ(S̄)
+//	ApplyDeltaSplit(old, Δ, cur, neg)  the tuples of Θ(cur) derivable using ≥1 Δ-tuple
+//	IsFixpoint(S)                      Θ(S̄) = S̄
 //
 // plus the frontier variants (frontier.go): ApplySplitFrontier and
 // ApplyDeltaSplitFrontier return the same derivations minus an
 // accumulated state, filtering at emit time — the building block of
 // every fixpoint loop in internal/semantics and internal/incr.
 //
-// ApplyDelta is the semi-naive building block: under the inflationary
+// ApplyDeltaSplit is the semi-naive building block: under the inflationary
 // iteration S ∪ Θ(S) (and under least-fixpoint iteration of positive
 // programs) a derivation whose positive IDB tuples are all old was
 // already valid one stage earlier, because negated atoms only grow and

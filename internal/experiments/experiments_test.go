@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
+// retired lists experiment ids whose code is gone.  Ids are never
+// reused, so a series name in a committed BENCH_*.json always means the
+// same workload: E17 (partitioned evaluation) went with the partitioned
+// evaluator it measured.
+var retired = map[int]bool{17: true}
+
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 18 {
-		t.Fatalf("registered %d experiments, want 18", len(all))
+	if len(all) != 18-len(retired) {
+		t.Fatalf("registered %d experiments, want %d", len(all), 18-len(retired))
 	}
+	want := 0
 	for i, e := range all {
-		want := i + 1
+		want++
+		for retired[want] {
+			want++
+		}
 		if idOrder(e.ID) != want {
 			t.Errorf("position %d has %s", i, e.ID)
 		}

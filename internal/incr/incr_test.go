@@ -197,51 +197,6 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestMaintainedPartitioned runs the maintained-vs-recompute check with
-// K-way partitioned evaluation: the initial evaluation partitions
-// through the semantics dispatch, and the DRed cascade/insert rounds
-// route their deltas to the owning partitions.  The oracle recompute
-// stays unpartitioned, so divergence anywhere in the exchange path
-// would surface as a state diff.
-func TestMaintainedPartitioned(t *testing.T) {
-	prog := parser.MustProgram(distSrc)
-	for _, k := range []int{2, 4} {
-		t.Run(fmt.Sprintf("K%d", k), func(t *testing.T) {
-			db0 := graphs.Random(rand.New(rand.NewSource(9)), 6, 0.3).Database()
-			m, err := incr.NewWith(prog, db0, core.Stratified, engine.Options{Partitions: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirror := db0.Clone()
-			rng := rand.New(rand.NewSource(63))
-			fresh := 0
-			steps := 16
-			if testing.Short() {
-				steps = 6
-			}
-			for step := 0; step < steps; step++ {
-				ins, del := randomBatch(rng, []string{"E"}, 6, &fresh)
-				old := m.State().Clone()
-				stats, err := m.Update(ins, del)
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				checkNetCounts(t, step, stats, old, m.State())
-				applyPlain(t, mirror, ins, del)
-				want, err := core.Eval(prog, mirror, core.Stratified, semantics.SemiNaive)
-				if err != nil {
-					t.Fatalf("step %d recompute: %v", step, err)
-				}
-				got := m.State().Format(m.Universe())
-				if exp := want.State.Format(want.Universe); got != exp {
-					t.Fatalf("step %d (K=%d, ins=%v del=%v): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
-						step, k, ins, del, got, exp)
-				}
-			}
-		})
-	}
-}
-
 func TestUpdateErrors(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
 	db := graphs.Path(3).Database()

@@ -30,7 +30,6 @@ package incr
 import (
 	"repro/internal/ast"
 	"repro/internal/engine"
-	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/semantics"
 )
@@ -303,7 +302,7 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 			if !drivers {
 				break
 			}
-			frontier = partition.ApplyDeltasFrontier(in, oldPos, oldPos, casc, dover)
+			frontier = in.ApplyDeltasFrontier(oldPos, oldPos, casc, dover)
 		}
 		for pred := range s.preds {
 			rel := m.state[pred]
@@ -349,12 +348,10 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 
 	// 3. Insert: derivations the update enables, propagated semi-naively
 	// through the stratum in the new world, filtered against the already
-	// materialized own-predicate state at emit time.  Under partitioned
-	// evaluation (in.Partitions() > 1) the propagation deltas are routed
-	// to their owning partitions and the rounds evaluate K-way, exactly
-	// like the from-scratch fixpoint loop.
+	// materialized own-predicate state at emit time — the same round
+	// body as the from-scratch fixpoint loop.
 	if anyIns {
-		frontier := partition.ApplyDeltasFrontier(in, m.state, m.state, seed, ownState(m.state, s.preds))
+		frontier := in.ApplyDeltasFrontier(m.state, m.state, seed, ownState(m.state, s.preds))
 		for !frontier.Empty() {
 			for pred := range s.preds {
 				rel, old, add := m.state[pred], pre[pred], adds[pred]
@@ -372,7 +369,7 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 					next[pred] = engine.Delta{PosDriver: frontier[pred]}
 				}
 			}
-			frontier = partition.ApplyDeltasFrontier(in, m.state, m.state, next, ownState(m.state, s.preds))
+			frontier = in.ApplyDeltasFrontier(m.state, m.state, next, ownState(m.state, s.preds))
 		}
 	}
 

@@ -39,17 +39,69 @@ func TestAddNotIn(t *testing.T) {
 	}
 }
 
-// TestAppendDisjointConcat covers the partition-merge primitives.
+// TestSpillAddNotInHash replays the engine's bucket-merge emit
+// (AddNotInHash with the emit-time TupleHash) over tuples that all take
+// the spill path (ids ≥ 2³² at arity 2), plus a mixed packed/spill
+// stream: the hash routes the tuple, but spill membership keys off byte
+// strings, and set semantics must stay exact either way.
+func TestSpillAddNotInHash(t *testing.T) {
+	big := 1 << 40
+	cur := New(2)
+	for i := 0; i < 500; i++ {
+		cur.Add(Tuple{big + i, i})
+	}
+	out := New(2)
+	cur.Each(func(tp Tuple) bool {
+		if out.AddNotInHash(tp, TupleHash(tp), cur) {
+			t.Fatalf("spill tuple %v in cur was inserted", tp)
+		}
+		return true
+	})
+	for i := 0; i < 500; i++ {
+		tp := Tuple{big + i, i + 1000}
+		if !out.AddNotInHash(tp, TupleHash(tp), cur) {
+			t.Fatalf("fresh spill tuple %v rejected", tp)
+		}
+		if out.AddNotInHash(tp, TupleHash(tp), cur) {
+			t.Fatalf("fresh spill tuple %v inserted twice", tp)
+		}
+	}
+	if out.Len() != 500 {
+		t.Fatalf("out holds %d tuples, want 500", out.Len())
+	}
+
+	mixed := New(2)
+	for i := 0; i < 32; i++ {
+		tp := Tuple{i, i} // packed
+		if i%2 == 1 {
+			tp = Tuple{big + i, i} // spill
+		}
+		mixed.Add(tp)
+	}
+	mixed.Each(func(tp Tuple) bool {
+		if New(2).AddNotInHash(tp, TupleHash(tp), mixed) {
+			t.Fatalf("mixed tuple %v not rejected by its own set", tp)
+		}
+		return true
+	})
+}
+
+// TestAppendDisjointConcat covers the bucket-merge primitive: disjoint
+// parts appended into one pre-sized relation without membership probes.
 func TestAppendDisjointConcat(t *testing.T) {
 	a := FromTuples(2, []Tuple{{0, 1}, {2, 3}})
 	b := FromTuples(2, []Tuple{{4, 5}})
-	c := ConcatDisjoint(2, []*Relation{a, b, nil, New(2)})
+	c := New(2)
+	c.ReserveHint(a.Len() + b.Len())
+	for _, p := range []*Relation{a, b, New(2)} {
+		c.AppendDisjoint(p)
+	}
 	if c.Len() != 3 {
-		t.Fatalf("ConcatDisjoint: len = %d, want 3", c.Len())
+		t.Fatalf("AppendDisjoint: len = %d, want 3", c.Len())
 	}
 	for _, want := range []Tuple{{0, 1}, {2, 3}, {4, 5}} {
 		if !c.Has(want) {
-			t.Errorf("ConcatDisjoint missing %v", want)
+			t.Errorf("AppendDisjoint missing %v", want)
 		}
 	}
 	// The concatenated relation must be fully functional: probes, adds.
@@ -57,7 +109,7 @@ func TestAppendDisjointConcat(t *testing.T) {
 		t.Errorf("Lookup on concatenated relation broken: %v", got)
 	}
 	if !c.Add(Tuple{6, 7}) || c.Len() != 4 {
-		t.Error("Add after ConcatDisjoint broken")
+		t.Error("Add after AppendDisjoint broken")
 	}
 }
 

@@ -98,9 +98,9 @@ func TupleHash(t Tuple) uint64 {
 
 // mix64 is the splitmix64 finalizer: a bijective scramble of a packed
 // key into a well-mixed 64-bit hash.  It is the single hash function of
-// the dedup path — TupleHash, the open-addressing Table, the Bloom
-// filters, and partition ownership all key off it, so a hash computed
-// once at emit time can be threaded through every probe.
+// the dedup path — TupleHash, the open-addressing Table, and the
+// worker-bucket routing all key off it, so a hash computed once at emit
+// time can be threaded through every probe.
 func mix64(k uint64) uint64 {
 	k ^= k >> 30
 	k *= 0xbf58476d1ce4e5b9

@@ -341,40 +341,6 @@ func (r *Relation) Has(t Tuple) bool {
 	return r.OffsetOf(t) >= 0
 }
 
-// HasHash is Has for callers that already computed h = TupleHash(t),
-// e.g. the engine's emit path, which needs the same hash for the
-// Bloom filter and partition ownership.  Passing a wrong hash yields
-// wrong answers; it is the caller's contract, not checked.
-func (r *Relation) HasHash(t Tuple, h uint64) bool {
-	if len(t) != r.arity {
-		return false
-	}
-	if k, ok := packKey(t); ok {
-		return r.packedOff(k, h) >= 0
-	}
-	off, ok := r.spill[spillKey(t)]
-	return ok && off < int32(len(r.arena))
-}
-
-// AddHash is Add for callers that already computed h = TupleHash(t):
-// the membership probe and the insert reuse the hash instead of
-// re-deriving it from the packed key.
-func (r *Relation) AddHash(t Tuple, h uint64) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
-	}
-	if k, ok := packKey(t); ok {
-		if r.packedOff(k, h) >= 0 {
-			return false
-		}
-		r.beforeMutate(true)
-		r.packedPut(k, h, int32(len(r.arena)))
-		r.arena = append(r.arena, t.Clone())
-		return true
-	}
-	return r.addSpillNotIn(t, nil)
-}
-
 // AddNotIn inserts t unless it is already present in filter — the fused
 // emit of the engine's frontier evaluation: one read-only membership
 // probe against the accumulated state, then a straight insert into the
@@ -392,8 +358,8 @@ func (r *Relation) AddNotIn(t Tuple, filter *Relation) bool {
 }
 
 // AddNotInHash is AddNotIn for callers that already computed
-// h = TupleHash(t): one emit-time hash feeds the filter probe here,
-// the Bloom filter, and partition ownership at the call site.
+// h = TupleHash(t): one emit-time hash feeds both membership probes
+// here and the worker-bucket routing at the call site.
 func (r *Relation) AddNotInHash(t Tuple, h uint64, filter *Relation) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
@@ -506,27 +472,6 @@ func (r *Relation) AppendDisjoint(o *Relation) {
 		r.insertKey(t)
 		r.arena = append(r.arena, t)
 	}
-}
-
-// ConcatDisjoint assembles one relation from pairwise-disjoint parts
-// (hash partitions of a derivation pass): arenas are appended and keys
-// inserted without any membership probe, so the merge is a disjoint
-// concatenation rather than a re-hashed union.
-func ConcatDisjoint(arity int, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		if p != nil {
-			total += p.Len()
-		}
-	}
-	r := New(arity)
-	r.ReserveHint(total)
-	for _, p := range parts {
-		if p != nil {
-			r.AppendDisjoint(p)
-		}
-	}
-	return r
 }
 
 // Remove deletes t, reporting whether it was present.  The arena stays

@@ -16,9 +16,9 @@ import "sync/atomic"
 // is tombstone-free and probe distances never degrade.
 //
 // The hash of a key is always mix64(key) — identical to TupleHash of
-// the tuple it encodes — which is what makes the *Hash entry points
-// on Relation sound: one hash computed at emit time feeds the Bloom
-// filter, partition ownership, and this table's probe.
+// the tuple it encodes — which is what makes AddNotInHash on Relation
+// sound: one hash computed at emit time feeds the worker-bucket routing
+// and this table's probe.
 //
 // Table is not a general map: keys are assumed well-distributed (they
 // are always probed via mix64), values are arena offsets, and the

@@ -196,15 +196,13 @@ func TestTableZeroAllocs(t *testing.T) {
 		r.Add(Tuple{i, i + 1})
 	}
 	hit, miss := Tuple{500, 501}, Tuple{500, 502}
-	hh, hm := TupleHash(hit), TupleHash(miss)
+	hh := TupleHash(hit)
 	cases := []struct {
 		name string
 		f    func()
 	}{
 		{"Has/hit", func() { r.Has(hit) }},
 		{"Has/miss", func() { r.Has(miss) }},
-		{"HasHash/hit", func() { r.HasHash(hit, hh) }},
-		{"HasHash/miss", func() { r.HasHash(miss, hm) }},
 		{"Add/dup", func() { r.Add(hit) }},
 		{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
 		{"AddNotInHash/dup", func() { r.AddNotInHash(hit, hh, nil) }},

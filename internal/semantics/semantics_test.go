@@ -512,39 +512,3 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 		}
 	}
 }
-
-// TestFrontierFilterEngages checks the fixpoint loop's prefilter
-// lifecycle end to end on a workload big enough to cross the filter
-// size threshold: the filtered run must be bit-exact with the
-// exact-probe run (state and core stats) while actually consulting —
-// and resolving some probes through — the filter.
-func TestFrontierFilterEngages(t *testing.T) {
-	db := randomEdgeDB(rand.New(rand.NewSource(21)), 48, 0.08)
-	prog := parser.MustProgram(tcSrc)
-
-	ref := engine.MustNew(prog, db.Clone())
-	ref.SetFrontierFilter(false)
-	want := Inflationary(ref)
-	if want.Stats.FilterProbes != 0 || want.Stats.FilterSkips != 0 {
-		t.Fatalf("filter-off run reported filter activity: %+v", want.Stats)
-	}
-	if want.Stats.Tuples < 1024 {
-		t.Fatalf("workload too small to cross the filter threshold: %d tuples", want.Stats.Tuples)
-	}
-
-	in := engine.MustNew(prog, db.Clone())
-	in.SetFrontierFilter(true)
-	got := Inflationary(in)
-	if !got.State.Equal(want.State) {
-		t.Fatal("filtered fixpoint differs from exact fixpoint")
-	}
-	if got.Stats.Core() != want.Stats.Core() {
-		t.Fatalf("core stats differ: got %+v want %+v", got.Stats, want.Stats)
-	}
-	if got.Stats.FilterProbes <= 0 {
-		t.Fatal("prefilter never consulted in the fixpoint loop")
-	}
-	if got.Stats.FilterSkips <= 0 || got.Stats.FilterSkips > got.Stats.FilterProbes {
-		t.Fatalf("implausible filter tallies: %+v", got.Stats)
-	}
-}

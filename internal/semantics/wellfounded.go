@@ -51,8 +51,6 @@ func WellFoundedMode(in *engine.Instance, mode Mode) *WFResult {
 		h, s1 := gamma(lo)
 		l2, s2 := gamma(h)
 		stats.Rounds += s1.Rounds + s2.Rounds
-		stats.FilterProbes += s1.FilterProbes + s2.FilterProbes
-		stats.FilterSkips += s1.FilterSkips + s2.FilterSkips
 		if s1.MaxDeltaTuples > stats.MaxDeltaTuples {
 			stats.MaxDeltaTuples = s1.MaxDeltaTuples
 		}

@@ -65,33 +65,15 @@ type Options struct {
 	// answers via magic-set rewriting, Off materializes the full
 	// fixpoint and filters (the differential oracle).
 	Magic Toggle
-	// Partitions is the K-way hash-partition count for semi-naive
-	// fixpoint rounds (0 = the process default, normally 1 = an
-	// unpartitioned run).  K > 1 splits each round's delta by head-tuple
-	// hash across K engine partitions that exchange only cross-partition
-	// tuples between rounds; results are bit-exact with K = 1.
-	Partitions int
-	// ExchangeFilter toggles the Bloom prefilter on the cross-partition
-	// exchange path (Default/On = filtered when frontier evaluation is
-	// active, Off = every emission takes the exact membership probe).
-	ExchangeFilter Toggle
-	// FrontierFilter toggles the same Bloom prefilter on the
-	// unpartitioned frontier path: the fixpoint loops keep a summary of
-	// the accumulated state and a definitive "absent" answer skips the
-	// exact dedup probe at emit time (Off = exact probes only).
-	FrontierFilter Toggle
 }
 
 // engineOpts converts the engine-facing subset of the options.
 func (o Options) engineOpts() engine.Options {
 	return engine.Options{
-		Workers:        o.Workers,
-		Planner:        o.Planner,
-		Frontier:       o.Frontier,
-		Sharding:       o.Sharding,
-		Partitions:     o.Partitions,
-		ExchangeFilter: o.ExchangeFilter,
-		FrontierFilter: o.FrontierFilter,
+		Workers:  o.Workers,
+		Planner:  o.Planner,
+		Frontier: o.Frontier,
+		Sharding: o.Sharding,
 	}
 }
 
